@@ -33,7 +33,11 @@
 #      at 16 clients; a cold 64-client same-key storm across two
 #      server processes computes its artifact exactly once with
 #      bit-identical responses) plus the quick HTTP soak driving the
-#      synth population through the sharded asyncio server.
+#      synth population through the sharded asyncio server,
+#   8. the repository benchmark's own tests (`python -m pytest
+#      perfbench -q`: request plans, oracle checks, tracer wrappers,
+#      metric shapes; about 12 s — the benchmark runs themselves are
+#      not part of CI).
 #
 # Any failure stops the script with a nonzero exit.
 
@@ -42,30 +46,33 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-echo "== [1/7] tier-1 test suite =="
+echo "== [1/8] tier-1 test suite =="
 python -m pytest -x -q
 
-echo "== [2/7] performance gates (engine + transpiled + tools + parallel + incremental) =="
+echo "== [2/8] performance gates (engine + transpiled + tools + parallel + incremental) =="
 python scripts/perf_check.py
 python scripts/perf_check.py --only transpiled
 python scripts/perf_check.py --only parallel
 python scripts/perf_check.py --only incremental
 
-echo "== [3/7] service smoke test =="
+echo "== [3/8] service smoke test =="
 python scripts/serve_smoke.py
 
-echo "== [4/7] fault-injected service smoke =="
+echo "== [4/8] fault-injected service smoke =="
 python scripts/serve_smoke.py --inject "crash=0.5,seed=1"
 
-echo "== [5/7] generated-corpus gates (synth parity slice + quick soak) =="
+echo "== [5/8] generated-corpus gates (synth parity slice + quick soak) =="
 REPRO_SYNTH_N=50 python -m pytest tests/test_synth_corpus.py -q
 python scripts/soak_check.py --quick
 
-echo "== [6/7] incremental-analysis gate (cone invalidation + parity) =="
+echo "== [6/8] incremental-analysis gate (cone invalidation + parity) =="
 python scripts/incr_check.py
 
-echo "== [7/7] scale-out service gates (sharded throughput + single-flight storm + HTTP soak) =="
+echo "== [7/8] scale-out service gates (sharded throughput + single-flight storm + HTTP soak) =="
 python scripts/perf_check.py --only service
 python scripts/soak_check.py --quick --http
+
+echo "== [8/8] repository benchmark's own tests =="
+python -m pytest perfbench -q
 
 echo "== ci_check: all gates passed =="

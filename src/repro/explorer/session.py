@@ -192,11 +192,15 @@ class ExplorerSession:
     # -- phase 1: automatic parallelization + execution analysis -------------
     def run_automatic(self) -> ParallelExecutionResult:
         from ..obs import get_tracer
+        from ..poly.fourier_motzkin import emptiness_metrics
         tracer = get_tracer()
         with tracer.span("parallelize", program=self.program.name) as sp:
+            fm_before = emptiness_metrics()
             self.parallelizer = self._build_parallelizer()
             self.plan = self.parallelizer.plan()
-            sp.tag(parallel_loops=len(self.plan.parallel_loops()))
+            sp.tag(parallel_loops=len(self.plan.parallel_loops()),
+                   **{k: v - fm_before[k]
+                      for k, v in emptiness_metrics().items()})
         from ..runtime.compile_engine import engine_label
         self.profiler = profile_program(self.program, self.inputs,
                                         max_ops=self.max_ops,

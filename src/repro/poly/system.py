@@ -148,19 +148,13 @@ class System:
         """True if the system has no rational solutions (conservative for
         integer emptiness: a rationally-empty system is integrally empty;
         the converse may not hold, which errs on the safe side for
-        dependence testing).  Memoized: systems are immutable."""
-        if self._empty_memo is not None:
-            return self._empty_memo
-        from .fourier_motzkin import system_is_empty
-        result = False
-        for c in self.constraints:
-            if c.is_trivially_false():
-                result = True
-                break
-        else:
-            result = system_is_empty(self)
-        self._empty_memo = result
-        return result
+        dependence testing).  Memoized per object, since systems are
+        immutable, and per process by
+        :func:`~repro.poly.fourier_motzkin.decide_empty`."""
+        if self._empty_memo is None:
+            from .fourier_motzkin import decide_empty
+            self._empty_memo = decide_empty(self)
+        return self._empty_memo
 
     def project_away(self, variables: Sequence[str]) -> "System":
         """Eliminate the named variables (existential projection)."""

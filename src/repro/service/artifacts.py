@@ -278,10 +278,12 @@ class ArtifactStore:
             # partial write in progress, or garbage: give the owner a
             # grace window to finish writing, then treat as abandoned
             return age > CLAIM_GRACE_S
+        if age > CLAIM_TTL_S:
+            # checked before the own-pid test: a restarted server that got
+            # its predecessor's pid back must still break that one's claims
+            return True
         if pid == os.getpid():
             return False        # another thread of this process: live
-        if age > CLAIM_TTL_S:
-            return True
         try:
             os.kill(pid, 0)
         except ProcessLookupError:

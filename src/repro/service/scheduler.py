@@ -88,6 +88,20 @@ class QueueFull(Exception):
         self.retry_after_s = retry_after_s
 
 
+def _work_counters() -> Dict[str, int]:
+    """This process's monotonic work counters under their service-metric
+    names: the transpiled-kernel cache (``codegen_cache_*``), the
+    per-procedure analysis cache (``proc_cache_*``) and Fourier-Motzkin
+    emptiness decisions (``fm_*``)."""
+    from ..analysis.incremental import proc_cache_stats
+    from ..poly.fourier_motzkin import emptiness_metrics
+    from ..runtime.transpile import codegen_cache_stats
+    out = {f"codegen_cache_{k}": v for k, v in codegen_cache_stats().items()}
+    out.update((f"proc_cache_{k}", v) for k, v in proc_cache_stats().items())
+    out.update(emptiness_metrics())
+    return out
+
+
 def _stats_delta(before: Dict, after: Dict) -> Dict:
     return {k: after[k] - before.get(k, 0) for k in after}
 
@@ -156,22 +170,18 @@ def _pool_worker(request_dict: Dict,
                  proc_root: Optional[str] = None) -> Dict:
     """Top-level (picklable) worker entry point.
 
-    Returns an envelope ``{artifact, spans, codegen, proc}``: spans are
-    only populated when a trace context was shipped (the worker then
-    builds a child tracer whose root parents onto the scheduler's
-    ``submit`` span), while ``codegen`` and ``proc`` carry this
-    request's cache hit/miss deltas (transpiled-kernel and
-    per-procedure analysis caches) for the scheduler's metrics."""
+    Returns an envelope ``{artifact, spans, counters}``: spans are only
+    populated when a trace context was shipped (the worker then builds a
+    child tracer whose root parents onto the scheduler's ``submit``
+    span), while ``counters`` carries this request's deltas of
+    :func:`_work_counters` for the scheduler's metrics."""
     # This process is sacrificial: process-killing fault directives are
     # allowed to execute here (and *only* here — inline execution in the
     # scheduler/server process neutralizes them).
     mark_worker_process()
     _ensure_codegen_store(codegen_root)
     _ensure_proc_store(proc_root)
-    from ..analysis.incremental import proc_cache_stats
-    from ..runtime.transpile import codegen_cache_stats
-    before = codegen_cache_stats()
-    proc_before = proc_cache_stats()
+    before = _work_counters()
     request = AnalysisRequest.from_dict(request_dict)
     spans = None
     if trace_context is None:
@@ -183,8 +193,7 @@ def _pool_worker(request_dict: Dict,
                 artifact = execute_request(request)
         spans = tracer.to_dicts()
     return {"artifact": artifact, "spans": spans,
-            "codegen": _stats_delta(before, codegen_cache_stats()),
-            "proc": _stats_delta(proc_before, proc_cache_stats())}
+            "counters": _stats_delta(before, _work_counters())}
 
 
 class BatchScheduler:
@@ -649,31 +658,17 @@ class BatchScheduler:
             self.metrics.incr("jobs_evicted")
 
     # -- execution ---------------------------------------------------------
-    def _count_codegen(self, delta: Optional[Dict]) -> None:
-        if not delta:
-            return
-        if delta.get("hit"):
-            self.metrics.incr("codegen_cache_hit", delta["hit"])
-        if delta.get("miss"):
-            self.metrics.incr("codegen_cache_miss", delta["miss"])
-
-    def _count_proc(self, delta: Optional[Dict]) -> None:
-        if not delta:
-            return
-        if delta.get("hit"):
-            self.metrics.incr("proc_cache_hit", delta["hit"])
-        if delta.get("miss"):
-            self.metrics.incr("proc_cache_miss", delta["miss"])
+    def _count_work(self, delta: Optional[Dict]) -> None:
+        for name, n in (delta or {}).items():
+            if n:
+                self.metrics.incr(name, n)
 
     def _run_inline(self, job: Job) -> None:
-        from ..analysis.incremental import proc_cache_stats
-        from ..runtime.transpile import codegen_cache_stats
         job.mark_running()
         job_tracer: Optional[Tracer] = None
         if self.tracer.enabled:
             job_tracer = Tracer.from_context(self.tracer.export_context())
-        cg_before = codegen_cache_stats()
-        proc_before = proc_cache_stats()
+        before = _work_counters()
         try:
             with self.metrics.time_phase("execute"):
                 if job_tracer is not None:
@@ -684,16 +679,12 @@ class BatchScheduler:
                 else:
                     artifact = execute_request(job.request)
         except Exception as exc:               # noqa: BLE001
-            self._count_codegen(_stats_delta(cg_before,
-                                             codegen_cache_stats()))
-            self._count_proc(_stats_delta(proc_before, proc_cache_stats()))
+            self._count_work(_stats_delta(before, _work_counters()))
             if job_tracer is not None:
                 self._record_trace(job, job_tracer.to_dicts())
             self._finish_failed(job, exc)
         else:
-            self._count_codegen(_stats_delta(cg_before,
-                                             codegen_cache_stats()))
-            self._count_proc(_stats_delta(proc_before, proc_cache_stats()))
+            self._count_work(_stats_delta(before, _work_counters()))
             if job_tracer is not None:
                 self._record_trace(job, job_tracer.to_dicts())
             self._finish_done(job, artifact)
@@ -744,8 +735,7 @@ class BatchScheduler:
             result = future.result()
             if traced:
                 self._record_trace(job, result.get("spans") or [])
-            self._count_codegen(result.get("codegen"))
-            self._count_proc(result.get("proc"))
+            self._count_work(result.get("counters"))
             self._finish_done(job, result["artifact"], pooled=True)
         elif isinstance(exc, BrokenExecutor):
             self.metrics.incr("futures_broken")

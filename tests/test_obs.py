@@ -191,6 +191,16 @@ def _pipeline_trace(workload="ora", **options):
     return tracer
 
 
+def test_parallelize_span_tags_emptiness_counts():
+    """The ``parallelize`` span carries this request's Fourier-Motzkin
+    emptiness decisions: queries, memo hits, FM runs, bail-outs."""
+    spans = _pipeline_trace("mdg", salt="fm-tags").to_dicts()
+    (tags,) = [s["tags"] for s in spans if s["name"] == "parallelize"]
+    assert tags["fm_runs"] > 0 and tags["fm_memo_hits"] > 0
+    assert tags["fm_queries"] >= tags["fm_runs"] + tags["fm_memo_hits"]
+    assert tags["fm_over_approx"] == 0
+
+
 def test_chrome_export_schema_is_valid():
     tracer = _pipeline_trace()
     doc = to_chrome(tracer.to_dicts())

@@ -1,7 +1,11 @@
 """Polyhedral core: LinExpr algebra, systems, Fourier-Motzkin, sections."""
 
+import random
 from fractions import Fraction
 
+import pytest
+
+from repro.poly import fourier_motzkin as fm
 from repro.poly import (Constraint, LinExpr, Section, System, bounds_system,
                         dim, range_section)
 
@@ -104,6 +108,164 @@ def test_sample_point_oracle_agrees():
     sys_ = System([Constraint.ge(x + y, 3), Constraint.le(x, 2),
                    Constraint.le(y, 2)])
     assert (sys_.sample_point() is not None) == (not sys_.is_empty())
+
+
+# -- Fourier-Motzkin emptiness: integer kernel and process memo ---------------
+
+def _random_system(rng: random.Random) -> System:
+    """Up to 5 variables and 7 constraints, about one in five an
+    equality, with small ``Fraction`` coefficients and constants."""
+    names = ["i", "j", "k", "m", "n"][:rng.randint(1, 5)]
+    constraints = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = {v: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                  for v in rng.sample(names, rng.randint(1, len(names)))}
+        const = Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 5)))
+        constraints.append(Constraint(LinExpr(coeffs, const),
+                                      rng.random() < 0.2))
+    return System(constraints)
+
+
+def _fraction_is_empty(system: System) -> bool:
+    """Independent answer: project every variable away on the
+    ``Fraction`` path and look for a false constant constraint."""
+    before = fm.emptiness_stats()["over_approx"]
+    rest = fm.project(system, system.variables())
+    assert fm.emptiness_stats()["over_approx"] == before
+    return any(c.is_trivially_false() for c in rest.constraints)
+
+
+def _agrees_with_fraction_path(system: System) -> bool:
+    empty = fm.system_is_empty(system)
+    assert empty == _fraction_is_empty(system), system
+    return empty
+
+
+def test_integer_kernel_agrees_on_random_systems():
+    rng = random.Random(20260412)
+    outcomes = {True: 0, False: 0}
+    sampled = 0
+    for _ in range(2500):
+        system = _random_system(rng)
+        empty = _agrees_with_fraction_path(system)
+        outcomes[empty] += 1
+        if len(system.variables()) <= 3:
+            point = system.sample_point(bound=4)
+            if point is not None:
+                sampled += 1
+                assert not empty, (system, point)
+    # both answers and the integer oracle are exercised, not one side only
+    assert min(outcomes.values()) > 500
+    assert sampled > 300
+
+
+@pytest.mark.parametrize("name", ["mdg", "arc3d", "hydro2d", "flo88"])
+def test_integer_kernel_agrees_on_recorded_systems(name, monkeypatch):
+    from repro.parallelize import Parallelizer
+    from repro.workloads import get
+    recorded = {}
+    real = fm.system_is_empty
+
+    def record(system):
+        recorded[system.key()] = system
+        return real(system)
+
+    monkeypatch.setattr(fm, "system_is_empty", record)
+    monkeypatch.setattr(fm, "_memo", {})
+    Parallelizer(get(name).build()).plan()
+    monkeypatch.setattr(fm, "system_is_empty", real)
+    assert len(recorded) > 300
+    for system in recorded.values():
+        empty = _agrees_with_fraction_path(system)
+        if len(system.variables()) <= 2:
+            point = system.sample_point(bound=6)
+            assert point is None or not empty, (system, point)
+
+
+def _box(lo: int, hi: int) -> System:
+    i, j = LinExpr.var("i"), LinExpr.var("j")
+    return System([Constraint.ge(i, lo), Constraint.le(i, hi),
+                   Constraint.ge(j, i), Constraint.le(j, 2 * i - 1)])
+
+
+def test_memo_serves_a_permuted_system(monkeypatch):
+    monkeypatch.setattr(fm, "_memo", {})
+    system = _box(3, 9)
+    permuted = System(reversed(system.constraints))
+    assert system.constraints != permuted.constraints
+    before = fm.emptiness_stats()
+    assert not system.is_empty()
+    assert not permuted.is_empty()
+    after = fm.emptiness_stats()
+    assert after["queries"] - before["queries"] == 2
+    assert after["fm_runs"] - before["fm_runs"] == 1
+    assert after["memo_hits"] - before["memo_hits"] == 1
+    assert list(fm._memo) == [system.key()]
+
+
+def test_bail_out_answers_are_counted_not_cached(monkeypatch):
+    monkeypatch.setattr(fm, "_memo", {})
+    monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 2)
+    system = _box(5, 4)          # empty, but FM needs 3+ rows to see it
+    before = fm.emptiness_stats()
+    assert not system.is_empty()                 # over-approximated
+    assert not System(system.constraints).is_empty()
+    after = fm.emptiness_stats()
+    assert after["over_approx"] - before["over_approx"] == 2
+    assert after["fm_runs"] - before["fm_runs"] == 2
+    assert fm._memo == {}
+    # project() counts its bail-outs too
+    fm.project(system, ["i", "j"])
+    assert fm.emptiness_stats()["over_approx"] > after["over_approx"]
+    monkeypatch.setattr(fm, "MAX_CONSTRAINTS", 600)
+    assert System(system.constraints).is_empty()
+    assert fm._memo == {system.key(): True}
+
+
+def test_memo_clears_when_full(monkeypatch):
+    monkeypatch.setattr(fm, "_memo", {})
+    monkeypatch.setattr(fm, "MEMO_CAP", 3)
+    for hi in range(4, 7):
+        _box(1, hi).is_empty()
+    assert len(fm._memo) == 3
+    _box(1, 7).is_empty()
+    assert list(fm._memo) == [_box(1, 7).key()]
+
+
+def test_memo_and_counters_under_threads(monkeypatch):
+    """Threads of one server process share the memo and the counters:
+    no decision is lost and every answer stays right."""
+    import sys
+    import threading
+    monkeypatch.setattr(fm, "_memo", {})
+    monkeypatch.setattr(fm, "MEMO_CAP", 16)      # clears while racing
+    expected = {hi: System(_box(1, hi).constraints).is_empty()
+                for hi in range(-3, 40)}
+    before = fm.emptiness_stats()
+    wrong = []
+
+    def work():
+        for hi in list(expected) * 3:
+            if System(_box(1, hi).constraints).is_empty() != expected[hi]:
+                wrong.append(hi)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    after = fm.emptiness_stats()
+    queries = after["queries"] - before["queries"]
+    assert queries == 4 * 3 * len(expected)
+    assert queries >= (after["memo_hits"] - before["memo_hits"]
+                       + after["fm_runs"] - before["fm_runs"])
 
 
 # -- Sections ------------------------------------------------------------------

@@ -10,6 +10,7 @@ corpus workloads).
 
 import json
 import os
+import time
 
 import pytest
 
@@ -258,6 +259,22 @@ def test_scheduler_retries_after_worker_crash(tmp_path):
     assert metrics.counter("jobs_retried") == 1
 
 
+def test_pool_worker_emptiness_counters_reach_metrics():
+    """Fourier-Motzkin counters move in the pool worker; the worker's
+    deltas are folded into the scheduler's metrics as ``fm_*``."""
+    metrics = ServiceMetrics()
+    with BatchScheduler(ArtifactStore(None), metrics=metrics,
+                        workers=1) as sched:
+        job = sched.submit(AnalysisRequest("mdg", options={"salt": "fm"}))
+        assert job.wait(120)
+    assert job.state == "done"
+    runs = metrics.counter("fm_runs")
+    hits = metrics.counter("fm_memo_hits")
+    assert runs > 0 and hits > 0
+    assert metrics.counter("fm_queries") >= runs + hits
+    assert metrics.counter("fm_over_approx") == 0
+
+
 def test_job_lifecycle_dict():
     with BatchScheduler(ArtifactStore(None), inline=True) as sched:
         job = sched.submit(AnalysisRequest("ora"))
@@ -393,6 +410,24 @@ def test_stale_claim_from_dead_pid_is_broken_and_quarantined(tmp_path):
     assert len(stale) == 1
     assert metrics.counter("claims_stale_broken") == 1
     assert metrics.counter("claims_acquired") == 1
+    store.release(key)
+
+
+def test_ttl_expired_claim_with_our_own_pid_is_broken(tmp_path):
+    """A restarted server that got its predecessor's pid back must still
+    break that predecessor's abandoned claims: the TTL is checked before
+    the same-pid "another thread of this process" shortcut."""
+    metrics = ServiceMetrics()
+    store = ArtifactStore(tmp_path, metrics=metrics)
+    key = "ef" * 32
+    path = store._claim_path(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"pid": os.getpid(), "acquired_at": 0.0}))
+    old = time.time() - 10_000
+    os.utime(path, (old, old))
+    assert store.claim(key)
+    assert metrics.counter("claims_stale_broken") == 1
+    assert len(list(path.parent.glob("*.stale.*"))) == 1
     store.release(key)
 
 
